@@ -141,6 +141,9 @@ type Cluster struct {
 	racks     map[string]*Rack
 	rackOrder []string
 	placement map[netsim.Endpoint]string
+	// version counts changes to what NodeOf may return (placements and the
+	// node set), so callers can cache a resolved *Node; see PlacementVersion.
+	version uint64
 	// used counts placed instances per node; opUsed counts them per
 	// (node, operator) for the rack-local policy.
 	used   map[string]int
@@ -189,6 +192,7 @@ func (c *Cluster) AddNode(name string, speed, migBandwidth float64) *Node {
 	n := &Node{Name: name, Speed: speed, MigrationBandwidth: migBandwidth}
 	c.nodes[name] = n
 	c.order = append(c.order, name)
+	c.version++
 	return n
 }
 
@@ -225,6 +229,7 @@ func (c *Cluster) RemoveNode(name string) {
 		return
 	}
 	delete(c.nodes, name)
+	c.version++
 	for i, n := range c.order {
 		if n == name {
 			c.order = append(c.order[:i], c.order[i+1:]...)
@@ -247,6 +252,7 @@ func (c *Cluster) Place(ep netsim.Endpoint, node string) {
 		c.opUsed[old][ep.Op]--
 	}
 	c.placement[ep] = node
+	c.version++
 	c.used[node]++
 	if c.opUsed[node] == nil {
 		c.opUsed[node] = make(map[string]int)
@@ -273,6 +279,13 @@ func (c *Cluster) NodeOf(ep netsim.Endpoint) *Node {
 	}
 	return c.nodes[c.order[0]]
 }
+
+// PlacementVersion changes whenever NodeOf's answer for some endpoint may
+// change: on every Place, AddNode and RemoveNode. A caller may keep the *Node
+// NodeOf returned while the version it read alongside is current. It starts
+// above zero, so a zero version never matches. Node fields such as Speed and
+// Dead change in place without a version bump; read them from the node.
+func (c *Cluster) PlacementVersion() uint64 { return c.version }
 
 // SpeedOf returns the processing-speed factor for an instance. An instance
 // whose node was removed keeps speed 1 so a draining pipeline can still make

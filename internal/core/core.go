@@ -407,9 +407,7 @@ func (m *Mechanism) scheduleNext() {
 		return
 	}
 	for {
-		sort.SliceStable(m.pending, func(i, j int) bool {
-			return m.heldKeys(m.pending[i]) < m.heldKeys(m.pending[j])
-		})
+		m.sortPendingByHeldKeys()
 		launched := false
 		for i, s := range m.pending {
 			if !m.nodeSlotsFree(s) {
@@ -427,12 +425,29 @@ func (m *Mechanism) scheduleNext() {
 	}
 }
 
+// sortPendingByHeldKeys stably orders the pending subscales by heldKeys,
+// scoring each subscale once rather than on every comparison.
+func (m *Mechanism) sortPendingByHeldKeys() {
+	type scored struct {
+		s    *subscale
+		held int
+	}
+	byHeld := make([]scored, len(m.pending))
+	for i, s := range m.pending {
+		byHeld[i] = scored{s, m.heldKeys(s)}
+	}
+	sort.SliceStable(byHeld, func(i, j int) bool { return byHeld[i].held < byHeld[j].held })
+	for i := range byHeld {
+		m.pending[i] = byHeld[i].s
+	}
+}
+
 // heldKeys scores a subscale by the key groups its destinations already
 // hold.
 func (m *Mechanism) heldKeys(s *subscale) int {
 	sum := 0
 	for _, dst := range s.dsts {
-		sum += len(m.rt.Instance(m.op, dst).Store().Groups())
+		sum += m.rt.Instance(m.op, dst).Store().GroupCount()
 	}
 	return sum
 }

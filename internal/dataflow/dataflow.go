@@ -163,7 +163,9 @@ type StreamEdge struct {
 	Exchange Exchange
 }
 
-// Graph is a validated job DAG.
+// Graph is a validated job DAG. Its topology (operators and stream edges)
+// must not change once engine.New has built a runtime from it: each instance
+// resolves its output ports from the graph once, at creation.
 type Graph struct {
 	ops     map[string]*OperatorSpec
 	order   []string // topological
@@ -246,10 +248,21 @@ func (g *Graph) Successors(name string) []string {
 }
 
 // Topological returns operator names in a stable topological order. It
-// panics on cycles — job graphs are DAGs by definition.
+// panics on cycles — job graphs are DAGs by definition; Validate reports one
+// as an error instead.
 func (g *Graph) Topological() []string {
+	order, err := g.topological()
+	if err != nil {
+		panic(err)
+	}
+	return order
+}
+
+// topological computes (and caches) the stable topological order, or reports
+// the operators that a cycle keeps from being ordered.
+func (g *Graph) topological() ([]string, error) {
 	if g.order != nil {
-		return g.order
+		return g.order, nil
 	}
 	indeg := make(map[string]int, len(g.ops))
 	names := make([]string, 0, len(g.ops))
@@ -280,10 +293,16 @@ func (g *Graph) Topological() []string {
 		}
 	}
 	if len(order) != len(g.ops) {
-		panic("dataflow: job graph has a cycle")
+		var stuck []string
+		for _, n := range names {
+			if indeg[n] > 0 {
+				stuck = append(stuck, n)
+			}
+		}
+		return nil, fmt.Errorf("dataflow: job graph has a cycle through %v", stuck)
 	}
 	g.order = order
-	return order
+	return order, nil
 }
 
 // Validate checks structural integrity: every non-source has inputs, every
@@ -295,13 +314,16 @@ func (g *Graph) Validate() error {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if op := g.ops[n]; op.Source == nil && len(g.inputs[n]) == 0 {
+		op := g.ops[n]
+		if op.Source == nil && len(g.inputs[n]) == 0 {
 			return fmt.Errorf("dataflow: operator %s has no inputs and is not a source", n)
 		}
+		if op.Source != nil && len(g.outputs[n]) == 0 {
+			return fmt.Errorf("dataflow: source %s has no outputs", n)
+		}
 	}
-	defer func() { recover() }()
-	g.Topological()
-	return nil
+	_, err := g.topological()
+	return err
 }
 
 // RoutingTable maps key groups to instance indices for one keyed operator,

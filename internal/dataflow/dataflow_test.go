@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"strings"
 	"testing"
 
 	"drrs/internal/netsim"
@@ -67,6 +68,38 @@ func TestGraphValidate(t *testing.T) {
 	bad.AddOperator(specOp("floating", 1, false))
 	if err := bad.Validate(); err == nil {
 		t.Fatal("operator without inputs should fail validation")
+	}
+}
+
+func TestGraphValidateRejectsCycle(t *testing.T) {
+	g := NewGraph()
+	g.AddOperator(specSource("src", 1))
+	g.AddOperator(specOp("a", 1, false))
+	g.AddOperator(specOp("b", 1, false))
+	g.Connect("src", "a", ExchangeRebalance)
+	g.Connect("a", "b", ExchangeRebalance)
+	g.Connect("b", "a", ExchangeRebalance)
+	err := g.Validate()
+	if err == nil {
+		t.Fatal("a two-operator cycle validated")
+	}
+	if !strings.Contains(err.Error(), "cycle through [a b]") {
+		t.Fatalf("cycle error %q does not name the cycle", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Topological on a cyclic graph should still panic")
+		}
+	}()
+	g.Topological()
+}
+
+func TestGraphValidateRejectsSourceWithoutOutputs(t *testing.T) {
+	g := linearGraph()
+	g.AddOperator(specSource("idle", 1))
+	err := g.Validate()
+	if err == nil || !strings.Contains(err.Error(), "source idle has no outputs") {
+		t.Fatalf("source without outputs: err = %v", err)
 	}
 }
 

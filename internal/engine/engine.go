@@ -191,13 +191,10 @@ func (rt *Runtime) wire(from, to *Instance, se dataflow.StreamEdge) {
 	e := netsim.NewEdge(rt.Sched, from.Endpoint(), to.Endpoint(), cfg)
 	e.SetReceiver(func(*netsim.Edge) { to.Wake() })
 	e.SetSenderWake(func() { from.Wake() })
-	from.addOutput(se.To, to.Index, e)
+	p := from.addOutput(se.To, to.Index, e)
 	to.addInput(e)
-	if se.Exchange == dataflow.ExchangeKeyed {
-		toSpec := rt.Graph.Operator(se.To)
-		if from.routing[se.To] == nil {
-			from.routing[se.To] = dataflow.NewRoutingTable(toSpec.MaxKeyGroups, toSpec.Parallelism)
-		}
+	if se.Exchange == dataflow.ExchangeKeyed && p.routing == nil {
+		p.routing = dataflow.NewRoutingTable(p.maxKG, rt.Graph.Operator(se.To).Parallelism)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"drrs/internal/cluster"
 	"drrs/internal/dataflow"
 	"drrs/internal/netsim"
 	"drrs/internal/simtime"
@@ -47,6 +48,20 @@ func (BaseHook) OnCheckpointBarrier(*Instance, *netsim.CheckpointBarrier, *netsi
 	return false
 }
 
+// outPort is one output stream of an instance, resolved when the instance is
+// created so the per-record path indexes it by position instead of looking
+// operators up by name: the stream edge, the downstream operator's key-group
+// count, the channels toward each downstream instance (by instance index),
+// the sender's routing table (keyed exchange only) and the round-robin cursor
+// (rebalance exchange).
+type outPort struct {
+	se      dataflow.StreamEdge
+	maxKG   int
+	edges   []*netsim.Edge
+	routing *dataflow.RoutingTable
+	rr      int
+}
+
 type pendingEmit struct {
 	edge *netsim.Edge
 	msg  netsim.Message
@@ -58,10 +73,8 @@ type Instance struct {
 	Spec  *dataflow.OperatorSpec
 	Index int
 
-	ins     []*netsim.Edge
-	outs    map[string][]*netsim.Edge
-	routing map[string]*dataflow.RoutingTable
-	rrNext  map[string]int
+	ins   []*netsim.Edge
+	ports []outPort // in Graph.Outputs order
 
 	store   *state.Store
 	logic   dataflow.Logic
@@ -93,6 +106,12 @@ type Instance struct {
 	wakeQueued bool
 	costRng    *simtime.RNG
 
+	// node caches the instance's placement for costOf, valid while nodeVer
+	// matches the cluster's placement version. Speed is still read from the
+	// node per record: straggler faults change Node.Speed in place.
+	node    *cluster.Node
+	nodeVer uint64
+
 	// dead marks a crashed instance (its node failed): Halted, state wiped,
 	// inputs queueing. See Fail/Revive.
 	dead bool
@@ -120,9 +139,6 @@ func (rt *Runtime) newInstance(spec *dataflow.OperatorSpec, idx int) *Instance {
 		rt:           rt,
 		Spec:         spec,
 		Index:        idx,
-		outs:         make(map[string][]*netsim.Edge),
-		routing:      make(map[string]*dataflow.RoutingTable),
-		rrNext:       make(map[string]int),
 		blockedEdges: make(map[*netsim.Edge]bool),
 		aligners:     make(map[string]map[*netsim.Edge]bool),
 		wmPer:        make(map[*netsim.Edge]simtime.Time),
@@ -135,6 +151,9 @@ func (rt *Runtime) newInstance(spec *dataflow.OperatorSpec, idx int) *Instance {
 		maxKG = 128
 	}
 	in.store = state.NewStore(maxKG)
+	for _, se := range rt.Graph.Outputs(spec.Name) {
+		in.ports = append(in.ports, outPort{se: se, maxKG: rt.Graph.Operator(se.To).MaxKeyGroups})
+	}
 	if spec.NewLogic != nil {
 		in.logic = spec.NewLogic()
 		if b, ok := in.logic.(dataflow.Binder); ok {
@@ -179,24 +198,64 @@ func (in *Instance) Hook() ScaleHook { return in.hook }
 // InEdges returns the instance's input channels in wiring order.
 func (in *Instance) InEdges() []*netsim.Edge { return in.ins }
 
+// port returns the output port toward op, or nil when op is not a direct
+// downstream operator. Instances have a handful of outputs, so a scan beats
+// a map; the per-record path never calls this.
+func (in *Instance) port(op string) *outPort {
+	for i := range in.ports {
+		if in.ports[i].se.To == op {
+			return &in.ports[i]
+		}
+	}
+	return nil
+}
+
+// mustPort is port for callers that address a downstream operator by name
+// and would otherwise act on nothing: it panics naming the instance, the
+// operator and the attempted action.
+func (in *Instance) mustPort(op, action string) *outPort {
+	p := in.port(op)
+	if p == nil {
+		panic(fmt.Sprintf("engine: %s on %s toward %s, which is not downstream", action, in.Name(), op))
+	}
+	return p
+}
+
 // OutEdges returns the channels toward a downstream operator, indexed by the
 // target instance index.
-func (in *Instance) OutEdges(op string) []*netsim.Edge { return in.outs[op] }
+func (in *Instance) OutEdges(op string) []*netsim.Edge {
+	if p := in.port(op); p != nil {
+		return p.edges
+	}
+	return nil
+}
 
 // Routing returns this instance's routing table toward a keyed downstream
 // operator.
-func (in *Instance) Routing(op string) *dataflow.RoutingTable { return in.routing[op] }
+func (in *Instance) Routing(op string) *dataflow.RoutingTable {
+	if p := in.port(op); p != nil {
+		return p.routing
+	}
+	return nil
+}
 
 // SetRouting replaces a routing table (used when installing planned tables).
-func (in *Instance) SetRouting(op string, rt *dataflow.RoutingTable) { in.routing[op] = rt }
+// It panics when op is not downstream of the instance.
+func (in *Instance) SetRouting(op string, rt *dataflow.RoutingTable) {
+	in.mustPort(op, "SetRouting").routing = rt
+}
 
 func (in *Instance) addInput(e *netsim.Edge) { in.ins = append(in.ins, e) }
-func (in *Instance) addOutput(op string, idx int, e *netsim.Edge) {
-	edges := in.outs[op]
-	if idx != len(edges) {
-		panic(fmt.Sprintf("engine: out-of-order wiring %s→%s[%d], have %d", in.Name(), op, idx, len(edges)))
+
+// addOutput appends the channel toward instance idx of op and returns its
+// port.
+func (in *Instance) addOutput(op string, idx int, e *netsim.Edge) *outPort {
+	p := in.mustPort(op, "wire")
+	if idx != len(p.edges) {
+		panic(fmt.Sprintf("engine: out-of-order wiring %s→%s[%d], have %d", in.Name(), op, idx, len(p.edges)))
 	}
-	in.outs[op] = append(edges, e)
+	p.edges = append(p.edges, e)
+	return p
 }
 
 // BlockEdge excludes an input channel from the handler (alignment blocking).
@@ -296,7 +355,7 @@ func (in *Instance) costOf(m netsim.Message) simtime.Duration {
 			return 2 * controlCost
 		}
 		c := in.costRng.Jitter(in.Spec.CostPerRecord, in.Spec.CostJitter)
-		speed := in.rt.Cluster.SpeedOf(in.Endpoint())
+		speed := in.speed()
 		if speed != 1.0 && speed > 0 {
 			c = simtime.Duration(float64(c) / speed)
 		}
@@ -311,6 +370,20 @@ func (in *Instance) costOf(m netsim.Message) simtime.Duration {
 	default:
 		return controlCost
 	}
+}
+
+// speed is Cluster.SpeedOf for this instance, through the cached node: the
+// placement is resolved again only after the cluster's placement version
+// moves (Place, AddNode, RemoveNode).
+func (in *Instance) speed() float64 {
+	cl := in.rt.Cluster
+	if v := cl.PlacementVersion(); v != in.nodeVer {
+		in.node, in.nodeVer = cl.NodeOf(in.Endpoint()), v
+	}
+	if in.node == nil {
+		return 1 // placed on a removed node: see Cluster.SpeedOf
+	}
+	return in.node.Speed
 }
 
 func (in *Instance) process(m netsim.Message, e *netsim.Edge) {
@@ -480,15 +553,14 @@ func (in *Instance) Emit(r *netsim.Record) {
 	if r == in.recycleCandidate {
 		in.recycleCandidate = nil // forwarded: the pointer lives on downstream
 	}
-	outs := in.rt.Graph.Outputs(in.Spec.Name)
-	for i, se := range outs {
+	for i := range in.ports {
 		rec := r
 		if i > 0 {
 			c := in.rt.recPool.Get()
 			*c = *r
 			rec = c
 		}
-		in.routeTo(se, rec)
+		in.routeTo(&in.ports[i], rec)
 	}
 }
 
@@ -508,21 +580,19 @@ func (in *Instance) InstanceIndex() int { return in.Index }
 // CurrentWatermark implements dataflow.OpContext.
 func (in *Instance) CurrentWatermark() simtime.Time { return in.curWM }
 
-func (in *Instance) routeTo(se dataflow.StreamEdge, r *netsim.Record) {
-	edges := in.outs[se.To]
+func (in *Instance) routeTo(p *outPort, r *netsim.Record) {
+	edges := p.edges
 	if len(edges) == 0 {
 		return
 	}
-	switch se.Exchange {
+	switch p.se.Exchange {
 	case dataflow.ExchangeKeyed:
-		toSpec := in.rt.Graph.Operator(se.To)
-		kg := state.KeyGroupOf(r.Key, toSpec.MaxKeyGroups)
+		kg := state.KeyGroupOf(r.Key, p.maxKG)
 		r.KeyGroup = kg
-		idx := in.routing[se.To].Owner(kg)
-		in.send(edges[idx], r)
+		in.send(edges[p.routing.Owner(kg)], r)
 	case dataflow.ExchangeRebalance:
-		i := in.rrNext[se.To]
-		in.rrNext[se.To] = (i + 1) % len(edges)
+		i := p.rr
+		p.rr = (i + 1) % len(edges)
 		in.send(edges[i], r)
 	case dataflow.ExchangeBroadcast:
 		for i, e := range edges {
@@ -579,8 +649,8 @@ func (in *Instance) RedirectPending(from, to *netsim.Edge, take func(*netsim.Rec
 // broadcastControl enqueues a control message to every output edge of every
 // downstream operator, preserving order relative to pending records.
 func (in *Instance) broadcastControl(m netsim.Message) {
-	for _, se := range in.rt.Graph.Outputs(in.Spec.Name) {
-		for _, e := range in.outs[se.To] {
+	for i := range in.ports {
+		for _, e := range in.ports[i].edges {
 			in.send(e, m)
 		}
 	}
@@ -593,8 +663,7 @@ func (in *Instance) ForwardMarker(r *netsim.Record) { in.forwardMarker(r) }
 // forwardMarker passes a latency marker downstream, or records its latency at
 // a sink (no outputs).
 func (in *Instance) forwardMarker(r *netsim.Record) {
-	outs := in.rt.Graph.Outputs(in.Spec.Name)
-	if len(outs) == 0 {
+	if len(in.ports) == 0 {
 		in.rt.Latency.Observe(in.rt.Sched.Now(), r.IngestTime)
 		if in.rt.OnMarkerSink != nil {
 			in.rt.OnMarkerSink(r)
@@ -657,7 +726,7 @@ func (in *Instance) BroadcastControl(m netsim.Message) { in.broadcastControl(m) 
 // SendControl enqueues a control message toward one downstream instance,
 // preserving order relative to pending emissions.
 func (in *Instance) SendControl(op string, idx int, m netsim.Message) {
-	in.send(in.outs[op][idx], m)
+	in.send(in.mustPort(op, "SendControl").edges[idx], m)
 }
 
 // alignOn records that barrier key arrived on e, blocks e, and reports

@@ -426,18 +426,27 @@ type CollectSink struct {
 	ByKey map[uint64]float64
 	// CountByKey counts records per key.
 	CountByKey map[uint64]int
-	// Seqs tracks seen sequence numbers for loss/duplication checks.
-	Seqs map[uint64]int
 	// Records counts total data records.
 	Records int
+
+	// seen has one bit per sequence number observed (Runtime.NextSeq hands
+	// them out densely from 1); far holds a Seq beyond what the bitset may
+	// grow to, so memory stays proportional to the records seen. dups counts
+	// repeat observations for Duplicates.
+	seen []uint64
+	far  map[uint64]bool
+	dups int
 }
+
+// seenSlackWords is the bitset growth allowed beyond one word per record
+// seen: 64K sequence numbers, 8 KB.
+const seenSlackWords = 1 << 10
 
 // NewCollectSink returns an empty sink.
 func NewCollectSink() *CollectSink {
 	return &CollectSink{
 		ByKey:      make(map[uint64]float64),
 		CountByKey: make(map[uint64]int),
-		Seqs:       make(map[uint64]int),
 	}
 }
 
@@ -447,23 +456,59 @@ func (s *CollectSink) OnRecord(_ dataflow.OpContext, r *netsim.Record) {
 	s.ByKey[r.Key] += r.Value
 	s.CountByKey[r.Key]++
 	if r.Seq != 0 {
-		s.Seqs[r.Seq]++
+		s.noteSeq(r.Seq)
 	}
+}
+
+// noteSeq marks seq observed, counting a repeat as a duplicate.
+func (s *CollectSink) noteSeq(seq uint64) {
+	w := seq >> 6
+	if w >= uint64(len(s.seen)) && !s.growSeen(w) {
+		if s.far[seq] {
+			s.dups++
+			return
+		}
+		if s.far == nil {
+			s.far = make(map[uint64]bool)
+		}
+		s.far[seq] = true
+		return
+	}
+	bit := uint64(1) << (seq & 63)
+	if s.seen[w]&bit != 0 {
+		s.dups++
+		return
+	}
+	s.seen[w] |= bit
+}
+
+// growSeen extends the bitset to cover word w, at least doubling it, unless w
+// lies beyond one word per record seen plus seenSlackWords. Sequence numbers
+// held in far that the grown bitset covers move into it.
+func (s *CollectSink) growSeen(w uint64) bool {
+	limit := uint64(s.Records) + seenSlackWords
+	if w >= limit {
+		return false
+	}
+	n := min(max(w+1, 2*uint64(len(s.seen))), limit)
+	grown := make([]uint64, n)
+	copy(grown, s.seen)
+	s.seen = grown
+	for seq := range s.far {
+		if seq>>6 < n {
+			s.seen[seq>>6] |= 1 << (seq & 63)
+			delete(s.far, seq)
+		}
+	}
+	return true
 }
 
 // OnWatermark implements dataflow.Logic.
 func (s *CollectSink) OnWatermark(dataflow.OpContext, simtime.Time) {}
 
-// Duplicates reports how many sequence numbers were seen more than once.
-func (s *CollectSink) Duplicates() int {
-	var n int
-	for _, c := range s.Seqs {
-		if c > 1 {
-			n += c - 1
-		}
-	}
-	return n
-}
+// Duplicates reports how many data records carried a sequence number seen
+// before: for each Seq observed c > 1 times, c-1.
+func (s *CollectSink) Duplicates() int { return s.dups }
 
 // Keyed state for SlidingWindowLogic and WindowJoinLogic flows through
 // state.Store as *windowPane / *joinState aux payloads; KeyedReduceLogic

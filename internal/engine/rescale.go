@@ -39,9 +39,9 @@ func (rt *Runtime) AddInstance(op string, idx int) *Instance {
 		for _, to := range rt.instances[se.To] {
 			rt.wire(in, to, se)
 		}
-		if se.Exchange == dataflow.ExchangeKeyed {
-			if sib := rt.Instance(op, 0); sib != nil && sib.routing[se.To] != nil {
-				in.routing[se.To] = sib.routing[se.To].Clone()
+		if sib := rt.Instance(op, 0); sib != nil && se.Exchange == dataflow.ExchangeKeyed {
+			if table := sib.Routing(se.To); table != nil {
+				in.SetRouting(se.To, table.Clone())
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // injectorHarness builds the smallest runtime an injector can drive: one
-// silent source on a two-node, one-rack cluster. Fault mechanics (speed
+// silent source feeding one sink, on a two-node, one-rack cluster. Fault mechanics (speed
 // factors, uplink state, heal timers, onset jitter) act on the cluster and
 // scheduler alone, so no traffic needs to flow.
 func injectorHarness(t *testing.T, plan *Plan, seed int64) (*simtime.Scheduler, *cluster.Cluster, *Injector) {
@@ -25,6 +25,11 @@ func injectorHarness(t *testing.T, plan *Plan, seed int64) (*simtime.Scheduler, 
 		Name: "src", Parallelism: 1,
 		Source: func(ctx dataflow.SourceContext) {},
 	})
+	g.AddOperator(&dataflow.OperatorSpec{
+		Name: "sink", Parallelism: 1,
+		NewLogic: func() dataflow.Logic { return engine.NewCollectSink() },
+	})
+	g.Connect("src", "sink", dataflow.ExchangeRebalance)
 	rt := engine.New(s, g, cl, engine.Config{Seed: seed, MarkerInterval: -1})
 	rt.Start()
 	inj := NewInjector(rt, plan, seed)

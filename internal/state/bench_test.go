@@ -47,3 +47,39 @@ func BenchmarkStateMigrateGroup(b *testing.B) {
 		src.InstallGroup(kg, dst.ExtractGroup(kg))
 	}
 }
+
+// benchLookup measures the per-record keyed-state path of ApplyRecord and
+// KeyedReduceLogic (HasGroup on the record's key group, then a fast-lane
+// read-modify-write) on the store of instance idx of parallelism p over maxKG
+// key groups, holding its Flink range.
+func benchLookup(b *testing.B, maxKG, p, idx int) {
+	s := NewStore(maxKG)
+	lo, hi := KeyGroupRange(maxKG, p, idx)
+	for kg := lo; kg < hi; kg++ {
+		s.OwnGroup(kg)
+	}
+	var keys []uint64
+	for k := uint64(1); len(keys) < 1024; k++ {
+		if s.HasGroup(KeyGroupOf(k, maxKG)) {
+			keys = append(keys, k)
+			s.PutF64(k, 0, 64)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i%len(keys)]
+		if !s.HasGroup(KeyGroupOf(k, maxKG)) {
+			b.Fatalf("key %d lost its group", k)
+		}
+		acc, _ := s.GetF64(k)
+		s.PutF64(k, acc+1, 64)
+	}
+}
+
+// BenchmarkStoreLookupNarrow: 128 key groups over 4 instances (32 local).
+func BenchmarkStoreLookupNarrow(b *testing.B) { benchLookup(b, 128, 4, 1) }
+
+// BenchmarkStoreLookupWideSparse: 1024 key groups over 320 instances (3 or 4
+// local), the shape of the bigcluster-128 rescale.
+func BenchmarkStoreLookupWideSparse(b *testing.B) { benchLookup(b, 1024, 320, 200) }

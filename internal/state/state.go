@@ -229,9 +229,20 @@ func (g *Group) clone() *Group {
 
 // Store is the keyed state of one operator instance: the subset of key groups
 // currently local to it.
+//
+// Local groups live in a window indexed by key group: buf[i] holds key group
+// base+i, nil meaning not local, and every local group lies in buf[lo:hi].
+// Flink assigns each instance a contiguous key-group range, so the window
+// spans about as many slots as the instance owns groups rather than
+// MaxKeyGroups. It grows as groups are owned or installed and is trimmed at
+// both ends as they are extracted; slots outside buf[lo:hi] are always nil, so
+// a lookup is one subtraction and one bounds check.
 type Store struct {
 	MaxKeyGroups int
-	groups       map[int]*Group
+	buf          []*Group
+	base         int // key group held by buf[0]
+	lo, hi       int // buf[lo:hi] spans every local group
+	n            int // local group count
 }
 
 // NewStore returns a store that owns no key groups yet.
@@ -239,44 +250,88 @@ func NewStore(maxKeyGroups int) *Store {
 	if maxKeyGroups <= 0 {
 		panic("state: maxKeyGroups must be positive")
 	}
-	return &Store{MaxKeyGroups: maxKeyGroups, groups: make(map[int]*Group)}
+	return &Store{MaxKeyGroups: maxKeyGroups}
+}
+
+// insert makes g the local group for kg, which must not be local yet,
+// widening the window to cover kg. buf is reallocated only when kg falls
+// outside it; the new buf leaves headroom the size of the live span on the
+// side the window grew (clamped to the key-group range), so owning a
+// contiguous range one group at a time costs amortized O(1), and a group
+// trimmed off either end regrows in place.
+func (s *Store) insert(kg int, g *Group) {
+	if i := kg - s.base; uint(i) < uint(len(s.buf)) {
+		if s.n == 0 {
+			s.lo, s.hi = i, i+1
+		} else {
+			s.lo, s.hi = min(s.lo, i), max(s.hi, i+1)
+		}
+		s.buf[i] = g
+		s.n++
+		return
+	}
+	lo, hi := kg, kg+1
+	down := false
+	if s.n > 0 {
+		down = kg < s.base+s.lo
+		lo, hi = min(lo, s.base+s.lo), max(hi, s.base+s.hi)
+	}
+	span := hi - lo
+	start, end := lo, hi
+	if down {
+		start -= min(span, max(lo, 0))
+	} else {
+		end += min(span, max(s.MaxKeyGroups-hi, 0))
+	}
+	buf := make([]*Group, end-start)
+	if s.n > 0 {
+		copy(buf[s.base+s.lo-start:], s.buf[s.lo:s.hi])
+	}
+	s.buf, s.base, s.lo, s.hi = buf, start, lo-start, hi-start
+	s.buf[kg-start] = g
+	s.n++
 }
 
 // OwnGroup declares kg local (idempotent), creating an empty group if absent.
 func (s *Store) OwnGroup(kg int) *Group {
-	g, ok := s.groups[kg]
-	if !ok {
-		g = NewGroup()
-		s.groups[kg] = g
+	if g := s.Group(kg); g != nil {
+		return g
 	}
+	g := NewGroup()
+	s.insert(kg, g)
 	return g
 }
 
 // HasGroup reports whether kg is local.
-func (s *Store) HasGroup(kg int) bool {
-	_, ok := s.groups[kg]
-	return ok
-}
+func (s *Store) HasGroup(kg int) bool { return s.Group(kg) != nil }
 
 // Group returns the local group for kg, or nil.
-func (s *Store) Group(kg int) *Group { return s.groups[kg] }
+func (s *Store) Group(kg int) *Group {
+	if i := kg - s.base; uint(i) < uint(len(s.buf)) {
+		return s.buf[i]
+	}
+	return nil
+}
+
+// GroupCount reports how many key groups are local.
+func (s *Store) GroupCount() int { return s.n }
 
 // Groups returns the sorted list of local key groups.
 func (s *Store) Groups() []int {
-	out := make([]int, 0, len(s.groups))
-	for kg := range s.groups {
-		out = append(out, kg)
+	out := make([]int, 0, s.n)
+	for i := s.lo; i < s.hi; i++ {
+		if s.buf[i] != nil {
+			out = append(out, s.base+i)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // Get returns the state for key, which must hash into a local group. Hot
 // paths use GetF64.
 func (s *Store) Get(key uint64) (any, bool) {
-	kg := KeyGroupOf(key, s.MaxKeyGroups)
-	g, ok := s.groups[kg]
-	if !ok {
+	g := s.Group(KeyGroupOf(key, s.MaxKeyGroups))
+	if g == nil {
 		return nil, false
 	}
 	return g.Get(key)
@@ -285,9 +340,8 @@ func (s *Store) Get(key uint64) (any, bool) {
 // GetF64 returns the unboxed fast-lane state for key (ok is false when the
 // key is absent, holds an aux payload, or its group is not local).
 func (s *Store) GetF64(key uint64) (float64, bool) {
-	kg := KeyGroupOf(key, s.MaxKeyGroups)
-	g, ok := s.groups[kg]
-	if !ok {
+	g := s.Group(KeyGroupOf(key, s.MaxKeyGroups))
+	if g == nil {
 		return 0, false
 	}
 	return g.GetF64(key)
@@ -308,8 +362,8 @@ func (s *Store) PutF64(key uint64, v float64, bytes int) {
 
 func (s *Store) mustGroup(key uint64) *Group {
 	kg := KeyGroupOf(key, s.MaxKeyGroups)
-	g, ok := s.groups[kg]
-	if !ok {
+	g := s.Group(kg)
+	if g == nil {
 		panic(fmt.Sprintf("state: Put(key=%d) into non-local key group %d", key, kg))
 	}
 	return g
@@ -317,15 +371,14 @@ func (s *Store) mustGroup(key uint64) *Group {
 
 // Delete removes state for key if present.
 func (s *Store) Delete(key uint64) {
-	kg := KeyGroupOf(key, s.MaxKeyGroups)
-	if g, ok := s.groups[kg]; ok {
+	if g := s.Group(KeyGroupOf(key, s.MaxKeyGroups)); g != nil {
 		g.Delete(key)
 	}
 }
 
 // GroupBytes reports the accounted size of kg (0 if not local).
 func (s *Store) GroupBytes(kg int) int {
-	if g, ok := s.groups[kg]; ok {
+	if g := s.Group(kg); g != nil {
 		return g.Bytes
 	}
 	return 0
@@ -334,8 +387,10 @@ func (s *Store) GroupBytes(kg int) int {
 // TotalBytes reports the accounted size of all local state.
 func (s *Store) TotalBytes() int {
 	var sum int
-	for _, g := range s.groups {
-		sum += g.Bytes
+	for _, g := range s.buf[s.lo:s.hi] {
+		if g != nil {
+			sum += g.Bytes
+		}
 	}
 	return sum
 }
@@ -343,9 +398,10 @@ func (s *Store) TotalBytes() int {
 // KeyCount reports the number of keys with state across local groups.
 func (s *Store) KeyCount() int {
 	var n int
-	//lint:allow maporder Len is a pure read folded into an integer sum, which commutes exactly
-	for _, g := range s.groups {
-		n += g.Len()
+	for _, g := range s.buf[s.lo:s.hi] {
+		if g != nil {
+			n += g.Len()
+		}
 	}
 	return n
 }
@@ -354,11 +410,22 @@ func (s *Store) KeyCount() int {
 // source path). Returns an empty group if kg was local but empty, nil if not
 // local.
 func (s *Store) ExtractGroup(kg int) *Group {
-	g, ok := s.groups[kg]
-	if !ok {
+	g := s.Group(kg)
+	if g == nil {
 		return nil
 	}
-	delete(s.groups, kg)
+	s.buf[kg-s.base] = nil
+	s.n--
+	if s.n == 0 {
+		s.lo, s.hi = 0, 0 // buf stays, so a group coming back needs no allocation
+		return g
+	}
+	for s.buf[s.lo] == nil {
+		s.lo++
+	}
+	for s.buf[s.hi-1] == nil {
+		s.hi--
+	}
 	return g
 }
 
@@ -368,19 +435,19 @@ func (s *Store) InstallGroup(kg int, g *Group) {
 	if g == nil {
 		g = NewGroup()
 	}
-	if cur, ok := s.groups[kg]; ok {
+	if cur := s.Group(kg); cur != nil {
 		cur.Merge(g)
 		return
 	}
-	s.groups[kg] = g
+	s.insert(kg, g)
 }
 
 // ExtractSubUnit removes the keys of kg that fall into sub-unit sub of n and
 // returns them as a group. The key group itself stays local (Meces keeps
 // serving the remainder). Returns nil if kg is not local.
 func (s *Store) ExtractSubUnit(kg, sub, n int) *Group {
-	g, ok := s.groups[kg]
-	if !ok {
+	g := s.Group(kg)
+	if g == nil {
 		return nil
 	}
 	out := NewGroup()
@@ -396,22 +463,27 @@ func (s *Store) ExtractSubUnit(kg, sub, n int) *Group {
 	return out
 }
 
-// Snapshot deep-copies the group map.
+// Snapshot deep-copies the local groups into a map keyed by key group.
 func (s *Store) Snapshot() map[int]*Group {
-	out := make(map[int]*Group, len(s.groups))
-	//lint:allow maporder clone deep-copies one self-contained group; writes keyed by the same kg are content-deterministic
-	for kg, g := range s.groups {
-		out[kg] = g.clone()
+	out := make(map[int]*Group, s.n)
+	for i := s.lo; i < s.hi; i++ {
+		if g := s.buf[i]; g != nil {
+			out[s.base+i] = g.clone()
+		}
 	}
 	return out
 }
 
 // Restore replaces the store contents with a snapshot.
 func (s *Store) Restore(snap map[int]*Group) {
-	s.groups = make(map[int]*Group, len(snap))
-	//lint:allow maporder clone deep-copies one self-contained group; writes keyed by the same kg are content-deterministic
-	for kg, g := range snap {
-		s.groups[kg] = g.clone()
+	kgs := make([]int, 0, len(snap))
+	for kg := range snap {
+		kgs = append(kgs, kg)
+	}
+	sort.Ints(kgs)
+	s.buf, s.base, s.lo, s.hi, s.n = nil, 0, 0, 0, 0
+	for _, kg := range kgs {
+		s.InstallGroup(kg, snap[kg].clone())
 	}
 }
 

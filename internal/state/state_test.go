@@ -288,3 +288,149 @@ func TestMigrationRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// checkWindow asserts the store's local groups are exactly want (ascending)
+// through every read path: Groups, GroupCount, HasGroup and Group.
+func checkWindow(t *testing.T, s *Store, want ...int) {
+	t.Helper()
+	got := s.Groups()
+	if len(got) != len(want) || s.GroupCount() != len(want) {
+		t.Fatalf("groups %v (count %d), want %v", got, s.GroupCount(), want)
+	}
+	for i, kg := range want {
+		if got[i] != kg || !s.HasGroup(kg) || s.Group(kg) == nil {
+			t.Fatalf("groups %v, want %v", got, want)
+		}
+	}
+	if s.n > 0 && (s.buf[s.lo] == nil || s.buf[s.hi-1] == nil) {
+		t.Fatalf("window [%d,%d) not trimmed to its local groups", s.base+s.lo, s.base+s.hi)
+	}
+}
+
+func TestStoreWindowGrowsBelowBase(t *testing.T) {
+	s := NewStore(64)
+	for kg := 40; kg < 44; kg++ {
+		s.OwnGroup(kg)
+	}
+	s.OwnGroup(10)
+	s.OwnGroup(39)
+	checkWindow(t, s, 10, 39, 40, 41, 42, 43)
+	for kg := 11; kg < 39; kg++ {
+		if s.HasGroup(kg) || s.Group(kg) != nil {
+			t.Fatalf("gap key group %d reported local", kg)
+		}
+	}
+}
+
+func TestStoreWindowTrimsOnExtract(t *testing.T) {
+	s := NewStore(32)
+	for kg := 8; kg < 16; kg++ {
+		s.OwnGroup(kg)
+	}
+	s.ExtractGroup(8)
+	s.ExtractGroup(15)
+	s.ExtractGroup(14)
+	checkWindow(t, s, 9, 10, 11, 12, 13)
+	if lo, hi := s.base+s.lo, s.base+s.hi; lo != 9 || hi != 14 {
+		t.Fatalf("window [%d,%d), want [9,14)", lo, hi)
+	}
+	s.ExtractGroup(11) // interior hole: the window keeps its ends
+	checkWindow(t, s, 9, 10, 12, 13)
+	s.OwnGroup(8) // regrows in place at the trimmed front
+	s.OwnGroup(15)
+	checkWindow(t, s, 8, 9, 10, 12, 13, 15)
+	for _, kg := range s.Groups() {
+		s.ExtractGroup(kg)
+	}
+	checkWindow(t, s)
+	s.OwnGroup(12) // back inside the kept buffer
+	checkWindow(t, s, 12)
+	s.ExtractGroup(12)
+	s.OwnGroup(30) // outside it
+	checkWindow(t, s, 30)
+}
+
+func TestStoreWindowInstallMergesExisting(t *testing.T) {
+	s := NewStore(8)
+	var k1, k2 uint64
+	for ; KeyGroupOf(k1, 8) != 6; k1++ {
+	}
+	for k2 = k1 + 1; KeyGroupOf(k2, 8) != 6; k2++ {
+	}
+	s.OwnGroup(6).PutF64(k1, 1, 10)
+	g := NewGroup()
+	g.PutF64(k2, 2, 20)
+	s.InstallGroup(6, g)
+	checkWindow(t, s, 6)
+	if v, ok := s.GetF64(k1); !ok || v != 1 {
+		t.Fatalf("existing entry lost: %v %v", v, ok)
+	}
+	if v, ok := s.GetF64(k2); !ok || v != 2 {
+		t.Fatalf("installed entry lost: %v %v", v, ok)
+	}
+	if s.GroupBytes(6) != 30 || s.TotalBytes() != 30 || s.KeyCount() != 2 {
+		t.Fatalf("bytes %d total %d keys %d", s.GroupBytes(6), s.TotalBytes(), s.KeyCount())
+	}
+}
+
+func TestStoreWindowSnapshotRestoreRoundTrip(t *testing.T) {
+	s := NewStore(128)
+	for _, kg := range []int{70, 3, 127, 64, 0} {
+		s.OwnGroup(kg)
+	}
+	for k := uint64(0); k < 2000; k++ {
+		if s.HasGroup(KeyGroupOf(k, 128)) {
+			s.PutF64(k, float64(k), int(k%7)+1)
+		}
+	}
+	snap := s.Snapshot()
+	r := NewStore(128)
+	r.OwnGroup(5) // replaced by the restore
+	r.Restore(snap)
+	checkWindow(t, r, 0, 3, 64, 70, 127)
+	if r.TotalBytes() != s.TotalBytes() || r.KeyCount() != s.KeyCount() {
+		t.Fatalf("restored %d B / %d keys, want %d B / %d keys", r.TotalBytes(), r.KeyCount(), s.TotalBytes(), s.KeyCount())
+	}
+	for k := uint64(0); k < 2000; k++ {
+		want, wok := s.GetF64(k)
+		got, gok := r.GetF64(k)
+		if got != want || gok != wok {
+			t.Fatalf("key %d: restored %v/%v, want %v/%v", k, got, gok, want, wok)
+		}
+	}
+}
+
+func TestStoreWindowOutOfRangeLookups(t *testing.T) {
+	s := NewStore(16)
+	for _, kg := range []int{-1, 0, 15, 16, 1 << 40} {
+		if s.HasGroup(kg) || s.Group(kg) != nil || s.GroupBytes(kg) != 0 || s.ExtractGroup(kg) != nil {
+			t.Fatalf("empty store reports key group %d", kg)
+		}
+	}
+	s.OwnGroup(4)
+	s.OwnGroup(5)
+	for _, kg := range []int{-1, -5, 3, 6, 16, 1 << 40, -1 << 40} {
+		if s.HasGroup(kg) || s.Group(kg) != nil || s.ExtractSubUnit(kg, 0, 2) != nil {
+			t.Fatalf("key group %d outside the window reported local", kg)
+		}
+	}
+	checkWindow(t, s, 4, 5)
+}
+
+func TestStoreGroupCount(t *testing.T) {
+	s := NewStore(32)
+	if s.GroupCount() != 0 {
+		t.Fatal("new store has groups")
+	}
+	for kg := 0; kg < 10; kg++ {
+		s.OwnGroup(kg)
+		s.OwnGroup(kg) // idempotent
+	}
+	s.InstallGroup(20, nil)
+	s.InstallGroup(20, NewGroup()) // merge keeps the count
+	s.ExtractGroup(3)
+	s.ExtractGroup(3)
+	if s.GroupCount() != 10 || len(s.Groups()) != 10 {
+		t.Fatalf("count %d, groups %v", s.GroupCount(), s.Groups())
+	}
+}
