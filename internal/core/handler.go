@@ -43,40 +43,41 @@ func (h *SchedulingHandler) Next(in *engine.Instance) (netsim.Message, *netsim.E
 		depth = 200
 	}
 	queued := false
+	start := (h.rr + 1) % n
 	// Pass 1 — inter-channel: serve the first channel whose head is
 	// processable, round-robin for fairness.
-	for k := 0; k < n; k++ {
-		h.rr = (h.rr + 1) % n
-		e := ins[h.rr]
-		if in.EdgeBlocked(e) || e.InboxLen() == 0 {
-			continue
-		}
-		queued = true
-		if in.CanProcess(e.InboxAt(0), e) {
-			return e.PopInbox(), e, engine.NextOK
+	for _, r := range [2][2]int{{start, n}, {0, start}} {
+		for s := in.ReadyInput(r[0], r[1]); s >= 0; s = in.ReadyInput(s+1, r[1]) {
+			queued = true
+			if e := ins[s]; in.CanProcess(e.InboxAt(0), e) {
+				h.rr = s
+				return e.PopInbox(), e, engine.NextOK
+			}
 		}
 	}
+	// Nothing served: rest the cursor on the slot before start, as
+	// NativeHandler does.
+	h.rr = (start + n - 1) % n
 	if !queued {
 		return nil, nil, engine.NextIdle
 	}
 	// Pass 2 — intra-channel: bypass unprocessable records up to the buffer
-	// depth, fencing on control messages.
-	for k := 0; k < n; k++ {
-		e := ins[(h.rr+k)%n]
-		if in.EdgeBlocked(e) {
-			continue
-		}
-		limit := e.InboxLen()
-		if limit > depth {
-			limit = depth
-		}
-		for i := 1; i < limit; i++ {
-			msg := e.InboxAt(i)
-			if !isSchedulableData(msg) {
-				break // fence: never cross control messages
+	// depth, fencing on control messages. It starts at the cursor itself.
+	for _, r := range [2][2]int{{h.rr, n}, {0, h.rr}} {
+		for s := in.ReadyInput(r[0], r[1]); s >= 0; s = in.ReadyInput(s+1, r[1]) {
+			e := ins[s]
+			limit := e.InboxLen()
+			if limit > depth {
+				limit = depth
 			}
-			if in.CanProcess(msg, e) {
-				return e.RemoveInboxAt(i), e, engine.NextOK
+			for i := 1; i < limit; i++ {
+				msg := e.InboxAt(i)
+				if !isSchedulableData(msg) {
+					break // fence: never cross control messages
+				}
+				if in.CanProcess(msg, e) {
+					return e.RemoveInboxAt(i), e, engine.NextOK
+				}
 			}
 		}
 	}

@@ -189,7 +189,7 @@ func (rt *Runtime) wire(from, to *Instance, se dataflow.StreamEdge) {
 	cfg := rt.edgeConfig()
 	cfg.Latency = rt.Cluster.LinkLatency(from.Endpoint(), to.Endpoint(), cfg.Latency)
 	e := netsim.NewEdge(rt.Sched, from.Endpoint(), to.Endpoint(), cfg)
-	e.SetReceiver(func(*netsim.Edge) { to.Wake() })
+	e.SetReceiver(to.noteArrival)
 	e.SetSenderWake(func() { from.Wake() })
 	p := from.addOutput(se.To, to.Index, e)
 	to.addInput(e)

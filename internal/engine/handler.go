@@ -57,20 +57,24 @@ func (h *NativeHandler) Next(in *Instance) (netsim.Message, *netsim.Edge, NextSt
 	if n == 0 {
 		return nil, nil, NextIdle
 	}
-	for k := 0; k < n; k++ {
-		h.rr = (h.rr + 1) % n
-		e := in.InEdges()[h.rr]
-		if in.EdgeBlocked(e) || e.InboxLen() == 0 {
-			continue
-		}
-		m := e.InboxAt(0)
-		if !in.CanProcess(m, e) {
-			// Commit to this channel and block: stock engines cannot skip
-			// within or across channels once data is at the gate.
-			h.stuck = e
-			return nil, e, NextSuspended
-		}
-		return e.PopInbox(), e, NextOK
+	start := (h.rr + 1) % n
+	s := in.ReadyInput(start, n)
+	if s < 0 {
+		s = in.ReadyInput(0, start)
 	}
-	return nil, nil, NextIdle
+	if s < 0 {
+		// Rest the cursor where stepping it through all n inputs one by
+		// one would have left it: the slot before start.
+		h.rr = (start + n - 1) % n
+		return nil, nil, NextIdle
+	}
+	h.rr = s
+	e := in.InEdges()[s]
+	if !in.CanProcess(e.InboxAt(0), e) {
+		// Commit to this channel and block: stock engines cannot skip
+		// within or across channels once data is at the gate.
+		h.stuck = e
+		return nil, e, NextSuspended
+	}
+	return e.PopInbox(), e, NextOK
 }

@@ -93,11 +93,15 @@ type Instance struct {
 	// emitting the checkpoint barrier with this id.
 	PauseAfterCkpt int64
 
-	blockedEdges map[*netsim.Edge]bool
-	aligners     map[string]map[*netsim.Edge]bool
+	// Per-input state, indexed by input slot (see inputs.go).
+	inReady   bitset
+	inBlocked bitset
+	inWM      []simtime.Time
+	inHasWM   []bool
+	noWM      int
 
-	wmPer map[*netsim.Edge]simtime.Time
-	curWM simtime.Time
+	aligners map[string]map[*netsim.Edge]bool
+	curWM    simtime.Time
 
 	backlog netsim.Deque[netsim.Message]
 	srcRng  *simtime.RNG
@@ -136,15 +140,13 @@ type Instance struct {
 
 func (rt *Runtime) newInstance(spec *dataflow.OperatorSpec, idx int) *Instance {
 	in := &Instance{
-		rt:           rt,
-		Spec:         spec,
-		Index:        idx,
-		blockedEdges: make(map[*netsim.Edge]bool),
-		aligners:     make(map[string]map[*netsim.Edge]bool),
-		wmPer:        make(map[*netsim.Edge]simtime.Time),
-		curWM:        -1,
-		costRng:      simtime.NewRNG(rt.Cfg.Seed, fmt.Sprintf("cost/%s/%d", spec.Name, idx)),
-		srcRng:       simtime.NewRNG(rt.Cfg.Seed, fmt.Sprintf("src/%s/%d", spec.Name, idx)),
+		rt:       rt,
+		Spec:     spec,
+		Index:    idx,
+		aligners: make(map[string]map[*netsim.Edge]bool),
+		curWM:    -1,
+		costRng:  simtime.NewRNG(rt.Cfg.Seed, fmt.Sprintf("cost/%s/%d", spec.Name, idx)),
+		srcRng:   simtime.NewRNG(rt.Cfg.Seed, fmt.Sprintf("src/%s/%d", spec.Name, idx)),
 	}
 	maxKG := spec.MaxKeyGroups
 	if maxKG == 0 {
@@ -245,8 +247,6 @@ func (in *Instance) SetRouting(op string, rt *dataflow.RoutingTable) {
 	in.mustPort(op, "SetRouting").routing = rt
 }
 
-func (in *Instance) addInput(e *netsim.Edge) { in.ins = append(in.ins, e) }
-
 // addOutput appends the channel toward instance idx of op and returns its
 // port.
 func (in *Instance) addOutput(op string, idx int, e *netsim.Edge) *outPort {
@@ -257,18 +257,6 @@ func (in *Instance) addOutput(op string, idx int, e *netsim.Edge) *outPort {
 	p.edges = append(p.edges, e)
 	return p
 }
-
-// BlockEdge excludes an input channel from the handler (alignment blocking).
-func (in *Instance) BlockEdge(e *netsim.Edge) { in.blockedEdges[e] = true }
-
-// UnblockEdge re-admits a blocked channel and wakes the instance.
-func (in *Instance) UnblockEdge(e *netsim.Edge) {
-	delete(in.blockedEdges, e)
-	in.Wake()
-}
-
-// EdgeBlocked reports whether e is alignment-blocked.
-func (in *Instance) EdgeBlocked(e *netsim.Edge) bool { return in.blockedEdges[e] }
 
 // BacklogLen reports the source backlog size (0 for non-sources).
 func (in *Instance) BacklogLen() int { return in.backlog.Len() }
@@ -450,7 +438,7 @@ func (in *Instance) Fail() []int {
 	// the input channels admissible, or the revived instance deadlocks
 	// waiting on markers that can never arrive (its inboxes fill, upstream
 	// backpressures, and the records are neither delivered nor counted lost).
-	clear(in.blockedEdges)
+	clear(in.inBlocked)
 	clear(in.aligners)
 	lost := in.store.Groups()
 	for _, kg := range lost {
@@ -674,39 +662,6 @@ func (in *Instance) forwardMarker(r *netsim.Record) {
 		return
 	}
 	in.Emit(r)
-}
-
-// --- Watermarks ---
-
-func (in *Instance) onWatermark(w *netsim.Watermark, e *netsim.Edge) {
-	if e != nil {
-		in.wmPer[e] = w.WM
-	}
-	min := simtime.Time(-1)
-	for _, edge := range in.ins {
-		wm, ok := in.wmPer[edge]
-		if !ok {
-			return // some channel has no watermark yet
-		}
-		if min == -1 || wm < min {
-			min = wm
-		}
-	}
-	if min > in.curWM {
-		in.curWM = min
-		if in.logic != nil {
-			in.logic.OnWatermark(in, min)
-		}
-		in.broadcastControl(&netsim.Watermark{WM: min})
-	}
-}
-
-// SeedWatermark initializes a channel's watermark (used when a scaling
-// mechanism wires a new instance so its windows don't stall forever).
-func (in *Instance) SeedWatermark(e *netsim.Edge, wm simtime.Time) {
-	if _, ok := in.wmPer[e]; !ok {
-		in.wmPer[e] = wm
-	}
 }
 
 // --- Alignment machinery (checkpoints and coupled scale barriers) ---

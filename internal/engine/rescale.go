@@ -67,7 +67,7 @@ func (rt *Runtime) ConnectInstances(src, dst *Instance) *netsim.Edge {
 	cfg.Latency = rt.Cluster.LinkLatency(src.Endpoint(), dst.Endpoint(), cfg.Latency)
 	e := netsim.NewEdge(rt.Sched, src.Endpoint(), dst.Endpoint(), cfg)
 	e.Auxiliary = true
-	e.SetReceiver(func(*netsim.Edge) { dst.Wake() })
+	e.SetReceiver(dst.noteArrival)
 	e.SetSenderWake(func() { src.Wake() })
 	dst.addInput(e)
 	dst.SeedWatermark(e, simtime.Time(1)<<62)
@@ -77,13 +77,8 @@ func (rt *Runtime) ConnectInstances(src, dst *Instance) *netsim.Edge {
 // DetachInput removes an auxiliary input channel from dst (scaling cleanup,
 // so alignment counts return to normal after the scaling completes).
 func (rt *Runtime) DetachInput(dst *Instance, e *netsim.Edge) {
-	for i, have := range dst.ins {
-		if have == e {
-			dst.ins = append(dst.ins[:i], dst.ins[i+1:]...)
-			delete(dst.wmPer, e)
-			delete(dst.blockedEdges, e)
-			return
-		}
+	if s := dst.slotOf(e); s >= 0 {
+		dst.removeInput(s)
 	}
 }
 

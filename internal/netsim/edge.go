@@ -35,6 +35,9 @@ type Edge struct {
 	// Auxiliary marks out-of-band channels (DRRS re-route paths) that never
 	// carry checkpoint barriers.
 	Auxiliary bool
+	// RecvSlot is the edge's position among its receiver's inputs. The
+	// receiver assigns and maintains it; netsim never reads it.
+	RecvSlot  int
 	Latency   simtime.Duration
 	Bandwidth float64 // bytes/second; <= 0 means infinite
 	OutCap    int     // records; <= 0 means unbounded
@@ -99,6 +102,9 @@ func NewEdge(s *simtime.Scheduler, src, dst Endpoint, cfg EdgeConfig) *Edge {
 }
 
 // SetReceiver installs the arrival callback (the receiving instance's wake).
+// deliver is the only way a message enters the inbox, and it fires the
+// callback once per message, so a receiver may track which of its inputs
+// hold messages from the callbacks alone.
 func (e *Edge) SetReceiver(fn func(*Edge)) { e.onArrival = fn }
 
 // SetSenderWake installs the callback fired (asynchronously) when outbox
@@ -246,10 +252,6 @@ func (e *Edge) RemoveInboxAt(i int) Message {
 	e.pump()
 	return m
 }
-
-// PushFrontInbox returns a message to the inbox head (used when a handler
-// peeks a message it cannot yet consume).
-func (e *Edge) PushFrontInbox(m Message) { e.inbox.PushFront(m) }
 
 // OutboxLen reports the number of messages waiting in the output cache.
 func (e *Edge) OutboxLen() int { return e.outbox.Len() }
