@@ -22,8 +22,8 @@ func BenchmarkScheduler(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkSchedulerFastLane measures the After(0, ...) wake pattern that
-// bypasses the heap entirely.
+// BenchmarkSchedulerFastLane measures the After(0, ...) wake pattern, whose
+// events go straight into the scheduler's FIFO bucket 0.
 func BenchmarkSchedulerFastLane(b *testing.B) {
 	s := NewScheduler()
 	n := 0
@@ -40,7 +40,8 @@ func BenchmarkSchedulerFastLane(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkSchedulerCancel measures indexed cancellation of heap events.
+// BenchmarkSchedulerCancel measures cancellation of future events: each is
+// marked dead, and released in batches once the dead outnumber the live.
 func BenchmarkSchedulerCancel(b *testing.B) {
 	s := NewScheduler()
 	fn := func() {}
@@ -55,7 +56,7 @@ func BenchmarkSchedulerCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerMixed stresses a deep heap: many pending timers with
+// BenchmarkSchedulerMixed stresses a deep queue: many pending timers with
 // interleaved scheduling, firing, and cancellation.
 func BenchmarkSchedulerMixed(b *testing.B) {
 	s := NewScheduler()
@@ -77,12 +78,39 @@ func BenchmarkSchedulerMixed(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkSchedulerWide replays the queue shape of a wide rescale: 400
+// pending events on about 200 instants, future delays drawn from 2500, 10
+// and 500 µs, and about half of the pushes landing on an instant that is
+// already pending. Events come in pairs that share every instant; the delay
+// hashes the instant and the pair, so distinct pairs rarely coincide.
+func BenchmarkSchedulerWide(b *testing.B) {
+	s := NewScheduler()
+	delays := [8]Duration{2500, 2500, 2500, 10, 10, 10, 500, 500}
+	for i := 0; i < 400; i++ {
+		pair := uint64(i/2) + 1
+		var fn func()
+		fn = func() {
+			s.After(delays[(uint64(s.Now())+pair)*0x9E3779B97F4A7C15>>61], fn)
+		}
+		s.At(Time(i/2*13%2500), fn)
+	}
+	for i := 0; i < 10000; i++ {
+		s.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
+	}
+}
+
 // TestSchedulerSteadyStateAllocs is the CI guard for the pooled scheduler:
-// once the pool and heap are warm, the schedule→fire cycle must not allocate.
+// once the pool and buckets are warm, the schedule→fire cycle must not
+// allocate.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
-	// Warm the pool, heap, and fast lane.
+	// Warm the pool and the buckets, bucket 0 included.
 	for i := 0; i < 1024; i++ {
 		s.After(Duration(i%13), fn)
 	}
@@ -99,9 +127,9 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSchedulerPendingExcludesCancelled pins the new Pending contract:
-// cancelled events leave the count immediately (the old implementation kept
-// lazy tombstones and over-counted).
+// TestSchedulerPendingExcludesCancelled pins the Pending contract: a
+// cancelled event leaves the count at once, though its entry stays queued
+// until the scheduler reaches its bucket.
 func TestSchedulerPendingExcludesCancelled(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
@@ -115,18 +143,19 @@ func TestSchedulerPendingExcludesCancelled(t *testing.T) {
 		t.Fatal("cancel failed")
 	}
 	if s.Pending() != 2 {
-		t.Fatalf("pending after heap cancel %d, want 2", s.Pending())
+		t.Fatalf("pending after future cancel %d, want 2", s.Pending())
 	}
-	// Fast-lane events count and un-count the same way.
+	// Events at the current instant (bucket 0) count and un-count the same
+	// way.
 	d := s.After(0, fn)
 	if s.Pending() != 3 {
-		t.Fatalf("pending with lane event %d, want 3", s.Pending())
+		t.Fatalf("pending with same-instant event %d, want 3", s.Pending())
 	}
 	if !d.Cancel() {
-		t.Fatal("lane cancel failed")
+		t.Fatal("same-instant cancel failed")
 	}
 	if s.Pending() != 2 {
-		t.Fatalf("pending after lane cancel %d, want 2", s.Pending())
+		t.Fatalf("pending after same-instant cancel %d, want 2", s.Pending())
 	}
 	s.Run()
 	if s.Pending() != 0 {
@@ -161,30 +190,30 @@ func TestSchedulerCancelReuse(t *testing.T) {
 	}
 }
 
-// TestSchedulerHeapLaneOrdering pins the tie-break between heap events and
-// fast-lane events at the same instant: scheduling order wins, regardless of
-// which structure holds the event.
+// TestSchedulerHeapLaneOrdering pins the tie-break at one instant between
+// events scheduled before the clock reached it and events scheduled during
+// it (After(0)): scheduling order wins. The early ones reach bucket 0 when
+// the instant is settled; the later ones are appended behind them.
 func TestSchedulerHeapLaneOrdering(t *testing.T) {
 	s := NewScheduler()
 	var got []int
-	// Scheduled before the clock reaches 10 → heap.
+	// Scheduled before the clock reaches 10: a future bucket.
 	s.At(10, func() { got = append(got, 1) })
 	s.At(5, func() {
-		// At t=5, schedule for t=10: also heap (future).
+		// At t=5, schedule for t=10: also a future bucket.
 		s.At(10, func() { got = append(got, 2) })
 	})
 	s.At(10, func() {
-		// Fires at t=10 (first heap event... this is the 3rd at-10 event by
-		// seq, but scheduled second). During the instant, After(0) → lane.
+		// Fires at t=10 (the second at-10 event by seq). During the
+		// instant, After(0) appends to bucket 0.
 		s.After(0, func() { got = append(got, 4) })
 		got = append(got, 3)
 	})
 	s.Run()
-	// Heap events at t=10 fire in seq order (1, 3, 2 — seq 0, 2, then the
-	// nested one), then the lane (4). Build the expected order explicitly:
-	// seq: At(10)#1 seq0, At(5) seq1, At(10)#3 seq2; at t=5 nested At(10)
-	// gets seq3. So at t=10: seq0 → "1", seq2 → "3" (queues lane "4"),
-	// seq3 → "2", then lane → "4".
+	// Events at t=10 fire in seq order: At(10)#1 seq0, At(5) seq1,
+	// At(10)#3 seq2; at t=5 the nested At(10) gets seq3, and the After(0)
+	// inside "3" gets seq4. So at t=10: seq0 → "1", seq2 → "3",
+	// seq3 → "2", seq4 → "4".
 	want := []int{1, 3, 2, 4}
 	if len(got) != len(want) {
 		t.Fatalf("got %v", got)

@@ -5,19 +5,23 @@
 // state migration, scaling-signal propagation — is an event scheduled on a
 // single Scheduler. Time is virtual: a "600 second" experiment is an event
 // count, not wall time, so runs are fast and fully deterministic. Events at
-// the same instant fire in scheduling order (a monotone sequence number
-// breaks ties), which makes every experiment replayable bit-for-bit.
+// the same instant fire in the order they were scheduled, which makes every
+// experiment replayable bit-for-bit.
 //
 // The scheduler is built for the simulation hot path: events live in a
-// free-list pool (no per-event heap allocation in steady state), the time
-// ordering is a hand-rolled 4-ary heap indexed by pool slot (cancellation is
-// an O(log n) indexed removal, never a lazy tombstone), and events scheduled
-// for the current instant — the ubiquitous After(0, ...) wake pattern — go
-// through a FIFO fast lane that bypasses the heap entirely.
+// free-list pool (no per-event heap allocation in steady state), and the
+// time ordering is a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
+// JACM 1990). No event is ever scheduled before the current instant, so an
+// event's bucket is the highest bit in which its time differs from the most
+// recently fired one; pushes are appends, and events at the current instant —
+// the ubiquitous After(0, ...) wake pattern — go straight into the FIFO
+// bucket 0. A cancelled event is only marked: it holds its pool slot until
+// the scheduler reaches its bucket, and never counts as pending.
 package simtime
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Time is an instant in virtual time, in microseconds since the start of the
@@ -65,22 +69,19 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // String formats the duration as milliseconds.
 func (d Duration) String() string { return fmt.Sprintf("%.3fms", d.Millis()) }
 
-// Event placement states (the event.where field): non-negative values are
-// heap positions.
-const (
-	whereFree     int32 = -1 // in the free list (or fired)
-	whereLane     int32 = -2 // queued in the same-instant fast lane
-	whereLaneDead int32 = -3 // cancelled while in the fast lane, not yet drained
-)
-
 // event is one pooled scheduler entry. Events are recycled through a free
-// list; the generation counter invalidates stale Timer handles on reuse.
+// list; the generation counter invalidates stale Timer handles on reuse. A
+// nil fn marks a cancelled event whose slot is not yet released.
 type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	gen   uint32
-	where int32
+	fn  func()
+	gen uint32
+}
+
+// entry is a queued event: its pool slot, with the time stored inline so a
+// bucket scan never touches the pool.
+type entry struct {
+	at Time
+	i  int32
 }
 
 // Timer is a handle to a scheduled event. The zero Timer is valid and
@@ -93,8 +94,8 @@ type Timer struct {
 }
 
 // Cancel prevents the event from firing. Reports whether the event was still
-// pending. Cancellation of a heap event removes it immediately (indexed
-// removal), so Pending() never over-counts cancelled events.
+// pending. The event leaves Pending() at once; its pool slot is released when
+// the scheduler reaches the event's bucket.
 func (t Timer) Cancel() bool {
 	if t.s == nil {
 		return false
@@ -109,7 +110,7 @@ func (t Timer) Pending() bool {
 		return false
 	}
 	ev := &t.s.pool[t.idx]
-	return ev.gen == t.gen && ev.where != whereLaneDead && ev.where != whereFree
+	return ev.gen == t.gen && ev.fn != nil
 }
 
 // Scheduler is a deterministic discrete-event scheduler.
@@ -118,21 +119,24 @@ func (t Timer) Pending() bool {
 // design (the parallel scenario runner gives every run its own Scheduler).
 type Scheduler struct {
 	now     Time
-	seq     uint64
 	stepped uint64
 	live    int // scheduled and neither fired nor cancelled
+	dead    int // cancelled but still queued
 
 	pool []event
 	free []int32
 
-	// heap is a 4-ary min-heap of pool indices ordered by (at, seq);
-	// pool[i].where tracks each event's heap position for O(log n) removal.
-	heap []int32
-
-	// lane is a FIFO ring of pool indices for events at the current instant.
-	lane     []int32
-	laneHead int
-	laneLen  int
+	// last is the time of the most recently settled minimum (last <= now),
+	// and only ever the time of a live event about to fire. An entry at t
+	// sits in buckets[bits.Len64(t^last)]; times are never negative, so 64
+	// buckets cover every key (the & 63 below only drops bounds checks).
+	// Each bucket is in scheduling order. Bucket 0 holds the entries at last
+	// and drains FIFO from head. Bit k of mask is set when bucket k holds
+	// entries; bit 0 is not kept up to date.
+	last    Time
+	head    int
+	mask    uint64
+	buckets [64][]entry
 }
 
 // NewScheduler returns an empty scheduler at time zero.
@@ -147,53 +151,46 @@ func (s *Scheduler) Now() Time { return s.now }
 func (s *Scheduler) Processed() uint64 { return s.stepped }
 
 // Pending reports how many events are scheduled and still runnable.
-// Cancelled events never count: heap cancellation removes the event
-// immediately, and fast-lane cancellation decrements the live count.
+// Cancelled events never count, though they stay queued until reached.
 func (s *Scheduler) Pending() int { return s.live }
-
-// alloc takes an event slot from the free list (or grows the pool) and
-// stamps it with the next sequence number.
-func (s *Scheduler) alloc(at Time, fn func()) int32 {
-	var i int32
-	if n := len(s.free); n > 0 {
-		i = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.pool = append(s.pool, event{where: whereFree})
-		i = int32(len(s.pool) - 1)
-	}
-	ev := &s.pool[i]
-	ev.at = at
-	ev.fn = fn
-	ev.seq = s.seq
-	s.seq++
-	return i
-}
 
 // release returns a slot to the free list, invalidating outstanding Timers.
 func (s *Scheduler) release(i int32) {
 	ev := &s.pool[i]
 	ev.fn = nil
-	ev.where = whereFree
 	ev.gen++
 	s.free = append(s.free, i)
 }
 
 // At schedules fn to run at instant t. Scheduling in the past panics: it
-// always indicates a simulation bug. Scheduling at the current instant takes
-// the FIFO fast lane and never touches the heap.
+// always indicates a simulation bug. Events at the same instant fire in the
+// order they were scheduled.
 func (s *Scheduler) At(t Time, fn func()) Timer {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: scheduling at %v before now %v", t, s.now))
 	}
-	i := s.alloc(t, fn)
-	s.live++
-	if t == s.now {
-		s.pool[i].where = whereLane
-		s.lanePush(i)
-	} else {
-		s.heapPush(i)
+	if fn == nil {
+		panic("simtime: scheduling a nil func")
 	}
+	var i int32
+	if n := len(s.free); n > 0 {
+		i = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.pool[i].fn = fn
+	} else {
+		i = int32(len(s.pool))
+		s.pool = append(s.pool, event{fn: fn})
+	}
+	s.live++
+	k := bits.Len64(uint64(t^s.last)) & 63
+	if k == 0 && s.head > 0 && len(s.buckets[0]) == cap(s.buckets[0]) {
+		// Drop bucket 0's fired prefix before it would grow: a chain that
+		// keeps scheduling at the current instant stays in bounded space.
+		s.buckets[0] = s.buckets[0][:copy(s.buckets[0], s.buckets[0][s.head:])]
+		s.head = 0
+	}
+	s.buckets[k] = append(s.buckets[k], entry{t, i})
+	s.mask |= 1 << k
 	return Timer{s: s, idx: i, gen: s.pool[i].gen}
 }
 
@@ -208,88 +205,136 @@ func (s *Scheduler) After(d Duration, fn func()) Timer {
 
 func (s *Scheduler) cancel(idx int32, gen uint32) bool {
 	ev := &s.pool[idx]
-	if ev.gen != gen {
+	if ev.gen != gen || ev.fn == nil {
 		return false
 	}
-	switch {
-	case ev.where >= 0:
-		s.heapRemoveAt(int(ev.where))
-		s.release(idx)
-		s.live--
-		return true
-	case ev.where == whereLane:
-		// The lane is a ring; mark the entry dead and let the drain skip it.
-		// Lane entries only live within the current instant, so the tombstone
-		// is gone by the time the clock next advances.
-		ev.where = whereLaneDead
-		ev.fn = nil
-		s.live--
-		return true
-	default:
-		return false
+	ev.fn = nil
+	s.live--
+	s.dead++
+	if s.dead > s.live+purgeSlack {
+		s.purge()
 	}
+	return true
 }
 
-// Step fires the next event. It reports false when no runnable event remains.
-//
-// Ordering: heap events at the current instant were necessarily scheduled
-// before the clock reached it (later same-instant arrivals go to the lane),
-// so they carry smaller sequence numbers than every lane entry and fire
-// first; then the lane drains FIFO; only then may the clock advance.
-func (s *Scheduler) Step() bool {
-	for {
-		var i int32
-		switch {
-		case len(s.heap) > 0 && s.pool[s.heap[0]].at == s.now:
-			i = s.heapPopMin()
-		case s.laneLen > 0:
-			i = s.lanePop()
-			if s.pool[i].where == whereLaneDead {
-				s.release(i)
-				continue
+// purgeSlack is how many more cancelled than live entries the queue holds
+// before purge runs.
+const purgeSlack = 32
+
+// purge releases every cancelled entry, keeping each bucket's order. It runs
+// once cancelled entries outnumber live ones by purgeSlack, so the queue
+// stays within twice the pending count plus the slack, and each cancel costs
+// amortised O(1).
+func (s *Scheduler) purge() {
+	b0 := s.buckets[0]
+	s.buckets[0] = b0[:copy(b0, b0[s.head:])]
+	s.head = 0
+	for m := s.mask | 1; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros64(m)
+		b := s.buckets[k][:0]
+		for _, e := range s.buckets[k] {
+			if s.pool[e.i].fn == nil {
+				s.release(e.i)
+			} else {
+				b = append(b, e)
 			}
-		case len(s.heap) > 0:
-			i = s.heapPopMin()
-		default:
+		}
+		s.buckets[k] = b
+		if len(b) == 0 {
+			s.mask &^= 1 << k
+		}
+	}
+	s.dead = 0
+}
+
+// settle refills the drained bucket 0 from the lowest non-empty bucket k: it
+// finds the earliest live time there, makes it last, and moves the entries,
+// in order, into the lower buckets (all empty by then). Entries of cancelled
+// events are released on the way. It reports false, leaving last alone, when
+// no live event lies at or before limit.
+func (s *Scheduler) settle(limit Time) bool {
+	for s.mask&^1 != 0 {
+		k := bits.TrailingZeros64(s.mask &^ 1)
+		b := s.buckets[k]
+		lo, hi := maxTime, Time(-1)
+		for _, e := range b {
+			if s.dead == 0 || s.pool[e.i].fn != nil {
+				lo = min(lo, e.at)
+				hi = max(hi, e.at)
+			}
+		}
+		if hi < 0 {
+			// Only cancelled entries: release them and look further.
+			for _, e := range b {
+				s.release(e.i)
+			}
+			s.dead -= len(b)
+			s.buckets[k] = b[:0]
+			s.mask &^= 1 << k
+			continue
+		}
+		if lo > limit {
 			return false
 		}
-		ev := &s.pool[i]
-		s.now = ev.at
-		fn := ev.fn
-		s.release(i)
+		s.last = lo
+		s.head = 0
+		s.mask &^= 1 << k
+		if lo == hi {
+			// One instant, already in order: the bucket becomes bucket 0
+			// whole. Cancelled entries may come along; step skips them.
+			s.buckets[0], s.buckets[k] = b, s.buckets[0][:0]
+			return true
+		}
+		s.buckets[0] = s.buckets[0][:0]
+		s.buckets[k] = b[:0]
+		for _, e := range b {
+			if s.dead > 0 && s.pool[e.i].fn == nil {
+				s.release(e.i)
+				s.dead--
+				continue
+			}
+			j := bits.Len64(uint64(e.at^lo)) & 63
+			s.buckets[j] = append(s.buckets[j], e)
+			s.mask |= 1 << j
+		}
+		return true
+	}
+	return false
+}
+
+// step fires the next event if it lies at or before limit.
+func (s *Scheduler) step(limit Time) bool {
+	for s.live > 0 {
+		if s.head == len(s.buckets[0]) && !s.settle(limit) {
+			return false
+		}
+		if s.last > limit {
+			return false
+		}
+		e := s.buckets[0][s.head]
+		s.head++
+		fn := s.pool[e.i].fn
+		s.release(e.i)
+		if fn == nil {
+			s.dead--
+			continue
+		}
+		s.now = e.at
 		s.live--
 		s.stepped++
 		fn()
 		return true
 	}
+	return false
 }
 
-// nextAt reports the instant of the next runnable event.
-func (s *Scheduler) nextAt() (Time, bool) {
-	for s.laneLen > 0 {
-		i := s.lane[s.laneHead]
-		if s.pool[i].where != whereLaneDead {
-			return s.now, true
-		}
-		s.lanePop()
-		s.release(i)
-	}
-	if len(s.heap) > 0 {
-		return s.pool[s.heap[0]].at, true
-	}
-	return 0, false
-}
+// Step fires the next event. It reports false when no runnable event remains.
+func (s *Scheduler) Step() bool { return s.step(maxTime) }
 
-// RunUntil fires events until the queue is exhausted or the next event lies
-// beyond t. The clock is left at min(t, time of last fired event), never
-// before its current value.
+// RunUntil fires every event at or before t, then leaves the clock at
+// max(t, now): it never moves backwards.
 func (s *Scheduler) RunUntil(t Time) {
-	for {
-		at, ok := s.nextAt()
-		if !ok || at > t {
-			break
-		}
-		s.Step()
+	for s.step(t) {
 	}
 	if s.now < t {
 		s.now = t
@@ -298,120 +343,9 @@ func (s *Scheduler) RunUntil(t Time) {
 
 // Run fires events until none remain.
 func (s *Scheduler) Run() {
-	for s.Step() {
+	for s.step(maxTime) {
 	}
 }
 
-// --- 4-ary indexed heap ---
-
-// less orders events by (at, seq).
-func (s *Scheduler) less(a, b int32) bool {
-	ea, eb := &s.pool[a], &s.pool[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	return ea.seq < eb.seq
-}
-
-func (s *Scheduler) heapPush(i int32) {
-	s.heap = append(s.heap, i)
-	pos := len(s.heap) - 1
-	s.pool[i].where = int32(pos)
-	s.siftUp(pos)
-}
-
-func (s *Scheduler) heapPopMin() int32 {
-	top := s.heap[0]
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	if last > 0 {
-		s.pool[s.heap[0]].where = 0
-		s.siftDown(0)
-	}
-	return top
-}
-
-// heapRemoveAt removes the event at heap position pos (indexed cancel).
-func (s *Scheduler) heapRemoveAt(pos int) {
-	last := len(s.heap) - 1
-	s.heap[pos] = s.heap[last]
-	s.heap = s.heap[:last]
-	if pos < last {
-		s.pool[s.heap[pos]].where = int32(pos)
-		s.siftDown(pos)
-		s.siftUp(pos)
-	}
-}
-
-func (s *Scheduler) siftUp(pos int) {
-	i := s.heap[pos]
-	for pos > 0 {
-		parent := (pos - 1) >> 2
-		p := s.heap[parent]
-		if !s.less(i, p) {
-			break
-		}
-		s.heap[pos] = p
-		s.pool[p].where = int32(pos)
-		pos = parent
-	}
-	s.heap[pos] = i
-	s.pool[i].where = int32(pos)
-}
-
-func (s *Scheduler) siftDown(pos int) {
-	i := s.heap[pos]
-	n := len(s.heap)
-	for {
-		first := pos<<2 + 1 // first child
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if s.less(s.heap[c], s.heap[best]) {
-				best = c
-			}
-		}
-		b := s.heap[best]
-		if !s.less(b, i) {
-			break
-		}
-		s.heap[pos] = b
-		s.pool[b].where = int32(pos)
-		pos = best
-	}
-	s.heap[pos] = i
-	s.pool[i].where = int32(pos)
-}
-
-// --- same-instant FIFO fast lane ---
-
-func (s *Scheduler) lanePush(i int32) {
-	if s.laneLen == len(s.lane) {
-		newCap := len(s.lane) * 2
-		if newCap < 16 {
-			newCap = 16
-		}
-		nl := make([]int32, newCap)
-		for k := 0; k < s.laneLen; k++ {
-			nl[k] = s.lane[(s.laneHead+k)%len(s.lane)]
-		}
-		s.lane = nl
-		s.laneHead = 0
-	}
-	s.lane[(s.laneHead+s.laneLen)%len(s.lane)] = i
-	s.laneLen++
-}
-
-func (s *Scheduler) lanePop() int32 {
-	i := s.lane[s.laneHead]
-	s.laneHead = (s.laneHead + 1) % len(s.lane)
-	s.laneLen--
-	return i
-}
+// maxTime is the latest representable instant.
+const maxTime = Time(1<<63 - 1)
